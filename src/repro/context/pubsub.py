@@ -39,6 +39,10 @@ class TopicBus:
     def __init__(self) -> None:
         self._exact: dict[str, list[Subscription]] = defaultdict(list)
         self._prefixes: dict[str, list[Subscription]] = defaultdict(list)
+        #: ``topic -> matching subscriptions``, in notification order,
+        #: resolved on the topic's first publish; cleared whenever a
+        #: subscription is added or removed.
+        self._routes: dict[str, tuple[Subscription, ...]] = {}
         #: Total publications, for diagnostics.
         self.published_count = 0
 
@@ -53,6 +57,7 @@ class TopicBus:
             self._prefixes[pattern[:-2]].append(subscription)
         else:
             self._exact[pattern].append(subscription)
+        self._routes.clear()
         return subscription
 
     def _remove(self, subscription: Subscription) -> None:
@@ -62,31 +67,35 @@ class TopicBus:
             else self._exact[pattern]
         if subscription in pool:
             pool.remove(subscription)
+        self._routes.clear()
+
+    def _matching(self, topic: str) -> tuple[Subscription, ...]:
+        """Subscriptions ``topic`` reaches: exact ones first, then
+        prefixes from the shortest to the longest."""
+        matching = list(self._exact.get(topic, ()))
+        parts = topic.split(".")
+        for cut in range(1, len(parts) + 1):
+            matching.extend(self._prefixes.get(".".join(parts[:cut]), ()))
+        return tuple(matching)
 
     def publish(self, topic: str, data: Any) -> int:
         """Deliver ``data`` to every matching subscriber.
 
+        The matching set is fixed when the publish starts; a subscription
+        removed by an earlier callback of the same publish is skipped.
         Returns the number of subscribers notified.
         """
         self.published_count += 1
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = self._matching(topic)
         notified = 0
-        for subscription in list(self._exact.get(topic, ())):
+        for subscription in route:
             if subscription.active:
                 subscription.callback(topic, data)
                 notified += 1
-        parts = topic.split(".")
-        for cut in range(1, len(parts) + 1):
-            prefix = ".".join(parts[:cut])
-            for subscription in list(self._prefixes.get(prefix, ())):
-                if subscription.active:
-                    subscription.callback(topic, data)
-                    notified += 1
         return notified
 
     def subscriber_count(self, topic: str) -> int:
         """How many active subscriptions would see ``topic``."""
-        count = len(self._exact.get(topic, ()))
-        parts = topic.split(".")
-        for cut in range(1, len(parts) + 1):
-            count += len(self._prefixes.get(".".join(parts[:cut]), ()))
-        return count
+        return len(self._matching(topic))

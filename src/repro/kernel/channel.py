@@ -86,7 +86,15 @@ class Channel:
         for index, layer in enumerate(qos.layers):
             session = preset_sessions.get(index) or layer.create_session()
             self.sessions.append(session)
-        self._route_cache: dict[tuple[type, Direction, int], list[Session]] = {}
+        #: Routes from a channel endpoint, keyed ``(event type, is-UP,
+        #: start index)``.
+        self._route_cache: dict[tuple[type, bool, int], list[Session]] = {}
+        #: Routes bound per injecting session, keyed ``(event type, is-UP,
+        #: session)`` — the lookup :meth:`insert_from` makes for every
+        #: event a layer emits.  The keys hold no :class:`Direction`: an
+        #: enum member hashes at Python level, a bool and a session in C.
+        self._session_routes: dict[tuple[type, bool, Session],
+                                   list[Session]] = {}
         self._live_timers: set[TimerHandle] = set()
         kernel._register_channel(self)
 
@@ -148,19 +156,20 @@ class Channel:
 
     # -- routing ---------------------------------------------------------------
 
-    def _route_for(self, event: Event, direction: Direction,
+    def _route_for(self, event: Event, up: bool,
                    start: int) -> list[Session]:
         """Sessions ``event`` visits, starting at stack index ``start``.
 
         ``start`` is inclusive.  For UP events the route walks indices
-        ``start, start+1, ...``; for DOWN events ``start, start-1, ...``.
+        ``start, start+1, ...``; for DOWN events ``start, start-1, ...``
+        (a ``start`` past either end yields the empty route).
         """
-        key = (type(event), direction, start)
+        key = (type(event), up, start)
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
         implicit = isinstance(event, ChannelEvent)
-        if direction is Direction.UP:
+        if up:
             candidates = list(enumerate(self.qos.layers))[start:]
         else:
             candidates = list(enumerate(self.qos.layers))[:start + 1][::-1]
@@ -178,8 +187,8 @@ class Channel:
         the network); DOWN events enter above the top layer.
         """
         self._check_live()
-        start = 0 if direction is Direction.UP else len(self.sessions) - 1
-        route = self._route_for(event, direction, start)
+        up = direction is Direction.UP
+        route = self._route_for(event, up, 0 if up else len(self.sessions) - 1)
         event._bind(self, direction, route, source=None)
         self._continue(event)
 
@@ -187,14 +196,13 @@ class Channel:
                     direction: Direction) -> None:
         """Insert ``event`` travelling from ``session``'s stack position."""
         self._check_live()
-        position = self.index_of(session)
-        start = position + 1 if direction is Direction.UP else position - 1
-        if direction is Direction.UP and start >= len(self.sessions):
-            route: list[Session] = []
-        elif direction is Direction.DOWN and start < 0:
-            route = []
-        else:
-            route = self._route_for(event, direction, start)
+        up = direction is Direction.UP
+        key = (type(event), up, session)
+        route = self._session_routes.get(key)
+        if route is None:
+            position = self.index_of(session)
+            route = self._session_routes[key] = self._route_for(
+                event, up, position + 1 if up else position - 1)
         event._bind(self, direction, route, source=session)
         self._continue(event)
 
@@ -215,13 +223,6 @@ class Channel:
             self.insert(event.wrapped, event.direction.invert())
         elif isinstance(event, ChannelClose):
             self._finalize_close()
-
-    def _dispatch(self, event: Event) -> None:
-        session = event._current_session()
-        if session is None:  # pragma: no cover - defensive
-            return
-        event._armed = True
-        session.handle(event)
 
     # -- timers ---------------------------------------------------------------------
 
@@ -246,6 +247,8 @@ class Channel:
             event.fired_at = self.kernel.clock.now()
             event._bind(self, Direction.UP, [session], source=None)
             self.kernel.enqueue(event)
+            # The one site that enqueues timer events, once per fire.
+            self.kernel.timer_dispatched_count += 1
             if handle.cancelled:
                 # The dispatched handler cancelled its own timer.
                 return

@@ -66,10 +66,14 @@ import os
 import struct
 from typing import Any, Callable
 
+# message.py binds this module lazily (on first encode), never at import
+# time, so importing it here at module level closes no cycle.
+from repro.kernel.message import Message, WirePayload, estimate_size
+
 __all__ = [
     "CodecError", "PARITY", "decode_payload", "encode_payload",
-    "register_wire_key", "resolve_event_class", "set_parity",
-    "wire_key_table",
+    "encoded_length", "register_wire_key", "resolve_event_class",
+    "set_parity", "wire_key_table",
 ]
 
 
@@ -232,7 +236,6 @@ def _encode(out: bytearray, obj: Any) -> int:
         return charge
     # Structured leaves the hot loop never sees: nested messages (carried
     # by retransmission stores and relays) and re-embedded frozen blobs.
-    from repro.kernel.message import Message, WirePayload
     if kind is WirePayload:
         out.append(0x0F)
         blob = obj.blob
@@ -264,7 +267,6 @@ def _encode(out: bytearray, obj: Any) -> int:
         # for a class object.
         from repro.kernel.events import SendableEvent
         if issubclass(obj, SendableEvent):
-            from repro.kernel.message import estimate_size
             out.append(0x10)
             encoded = obj.__name__.encode("utf-8")
             _append_varint(out, len(encoded))
@@ -291,6 +293,22 @@ def encode_payload(obj: Any) -> tuple[bytes, int]:
     if PARITY:
         _assert_parity(obj, blob, charge)
     return blob, charge
+
+
+def encoded_length(obj: Any) -> int:
+    """Length of ``obj``'s wire form, without keeping the bytes.
+
+    The measurement behind :attr:`Message.wire_bytes
+    <repro.kernel.message.Message.wire_bytes>`: each header cell is
+    measured once and cached, so sizing a transmission never re-encodes
+    the message.
+
+    Raises:
+        CodecError: for types outside the wire format.
+    """
+    out = bytearray()
+    _encode(out, obj)
+    return len(out)
 
 
 # -- decoding -----------------------------------------------------------------
@@ -352,7 +370,6 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
             result[key] = value
         return result, pos
     if tag == 0x0E:
-        from repro.kernel.message import Message
         count, pos = _read_varint(buf, pos)
         headers = []
         for _ in range(count):
@@ -361,7 +378,6 @@ def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
         payload, pos = _decode(buf, pos)
         return Message(payload, headers=headers), pos
     if tag == 0x0F:
-        from repro.kernel.message import WirePayload
         length, pos = _read_varint(buf, pos)
         end = pos + length
         if end > len(buf):
@@ -423,7 +439,6 @@ def decode_payload(blob: bytes) -> Any:
 # -- parity -------------------------------------------------------------------
 
 def _assert_parity(obj: Any, blob: bytes, charge: int) -> None:
-    from repro.kernel.message import estimate_size
     legacy = estimate_size(obj)
     if charge != legacy:
         raise AssertionError(

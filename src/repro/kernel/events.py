@@ -77,11 +77,6 @@ class Event:
         self._index = 0
         self._armed = False
 
-    def _current_session(self) -> Optional["Session"]:
-        if 0 <= self._index < len(self._route):
-            return self._route[self._index]
-        return None
-
     # -- public API --------------------------------------------------------
 
     def go(self) -> None:

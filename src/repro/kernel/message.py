@@ -125,7 +125,7 @@ _IMMUTABLE_PAYLOAD_TYPES = (bytes, str, int, float, bool, frozenset,
                             type(None), type)
 
 #: Lazily-bound :mod:`repro.kernel.codec` (breaks the import cycle: the
-#: codec module imports Message/WirePayload from here at call time).
+#: codec module imports Message/WirePayload from here at module level).
 _codec = None
 
 
@@ -135,6 +135,11 @@ def _get_codec():
         from repro.kernel import codec
         _codec = codec
     return _codec
+
+
+def _varint_len(value: int) -> int:
+    """Bytes in the codec's LEB128 varint form of ``value`` (>= 0)."""
+    return ((value.bit_length() or 1) + 6) // 7
 
 
 class WirePayload:
@@ -220,9 +225,13 @@ class _HeaderNode:
 
     ``stack_bytes`` caches the cumulative wire-size charge of this cell and
     everything below it, which is what makes ``Message.size_bytes`` O(1).
+    ``wire_len`` likewise caches the cumulative *encoded* length of the
+    headers (see :meth:`encoded_len`), which makes ``Message.wire_bytes``
+    arithmetic; it is computed on first use, since most cells never reach
+    the wire.
     """
 
-    __slots__ = ("header", "below", "depth", "stack_bytes")
+    __slots__ = ("header", "below", "depth", "stack_bytes", "wire_len")
 
     def __init__(self, header: Any, below: Optional["_HeaderNode"]) -> None:
         self.header = header
@@ -231,6 +240,30 @@ class _HeaderNode:
         charge = max(estimate_size(header), 1) + 1  # +1 framing byte
         self.stack_bytes = charge if below is None \
             else below.stack_bytes + charge
+        self.wire_len: Optional[int] = None
+
+    def encoded_len(self) -> int:
+        """Codec length of this cell's header plus every header below it,
+        or ``-1`` when one of them cannot be wire-encoded.
+
+        Fills the uncached cells bottom-up, so a shared chain is measured
+        once however many handles (a fan-out's wires) sit on top of it.
+        """
+        pending = []
+        node: Optional[_HeaderNode] = self
+        while node is not None and node.wire_len is None:
+            pending.append(node)
+            node = node.below
+        length = 0 if node is None else node.wire_len
+        codec = _get_codec()
+        for node in reversed(pending):
+            if length >= 0:
+                try:
+                    length += codec.encoded_length(node.header)
+                except codec.CodecError:  # exotic header value
+                    length = -1
+            node.wire_len = length
+        return length
 
 
 class Message:
@@ -351,27 +384,39 @@ class Message:
         ``size_bytes`` stays the accounting source of truth (delay, loss
         and battery models); this is the measurement of what the compact
         encoding saves.  Only meaningful on a wire copy (frozen payload):
-        unfrozen handles and exotic legacy-snapshot payloads fall back to
-        ``size_bytes``.  Not cached — :class:`~repro.kernel.packet.Packet`
-        computes it once per transmission and fans it out.
+        unfrozen handles, exotic legacy-snapshot payloads and header
+        stacks holding an un-encodable value fall back to ``size_bytes``.
+
+        Arithmetic, no encode: message tag + varint(header count) + the
+        header cells' cached encoded length (:meth:`_HeaderNode.
+        encoded_len`) + the blob re-embed framing (tag, varint length,
+        blob, varint charge).  Equal to ``len(encode_payload(msg)[0])`` by
+        construction; codec parity mode asserts it on every call.
         """
         payload = self._payload
         if type(payload) is not WirePayload:
             return self.size_bytes
-        if self._top is None:
-            # Bare message (the common case at the packet boundary: layers
-            # fold their state into the payload dict): pure arithmetic —
-            # message tag + zero header count + blob re-embed framing.
-            blob_len = len(payload.blob)
-            return (3 + blob_len +
-                    ((blob_len.bit_length() or 1) + 6) // 7 +
-                    ((payload.size_bytes.bit_length() or 1) + 6) // 7)
+        top = self._top
+        if top is None:
+            depth = headers_len = 0
+        else:
+            headers_len = top.wire_len
+            if headers_len is None:
+                headers_len = top.encoded_len()
+            if headers_len < 0:
+                return self.size_bytes
+            depth = top.depth
+        blob_len = len(payload.blob)
+        length = (2 + _varint_len(depth) + headers_len + blob_len +
+                  _varint_len(blob_len) + _varint_len(payload.size_bytes))
         codec = _get_codec()
-        try:
-            blob, _ = codec.encode_payload(self)
-        except codec.CodecError:  # exotic header value
-            return self.size_bytes
-        return len(blob)
+        if codec.PARITY:
+            encoded = len(codec.encode_payload(self)[0])
+            if encoded != length:
+                raise AssertionError(
+                    f"wire_bytes {length} != encoded length {encoded} "
+                    f"for {self!r}")
+        return length
 
     # -- copying --------------------------------------------------------------
 
@@ -441,6 +486,11 @@ class Message:
             cache[0] = snap
         dup = self.copy()  # shares the cache cell holding ``snap``
         dup._payload = snap
+        if type(snap) is WirePayload:
+            # The frozen charge *is* estimate_size(snap) (the codec computes
+            # it in the encoding traversal; parity mode asserts it), so
+            # the wire handle's size needs no second estimate pass.
+            dup._payload_size = snap.size_bytes
         return dup
 
     # -- dunder compatibility -------------------------------------------------

@@ -54,6 +54,12 @@ DATA = "data"
 CONTROL = "control"
 
 
+def _overhead(logical_src: str) -> int:
+    """Per-packet charge on top of the message: source field + framing."""
+    return (estimate_size(logical_src) + SRC_FIELD_OVERHEAD +
+            PACKET_OVERHEAD_BYTES)
+
+
 @dataclass
 class Packet:
     """One datagram.
@@ -97,12 +103,38 @@ class Packet:
     def __post_init__(self) -> None:
         if self.logical_src is None:
             self.logical_src = self.src
-        overhead = (estimate_size(self.logical_src) +
-                    SRC_FIELD_OVERHEAD + PACKET_OVERHEAD_BYTES)
+        overhead = _overhead(self.logical_src)
         if not self.size_bytes:
             self.size_bytes = self.message.size_bytes + overhead
         if not self.wire_bytes:
             self.wire_bytes = self.message.wire_bytes + overhead
+
+    @staticmethod
+    def outgoing(src: str, dst: Any, port: str, event_cls: type,
+                 message: Message, logical_src: str,
+                 traffic_class: str) -> "Packet":
+        """A freshly transmitted packet, as ``Packet(...)`` would build it
+        from the same fields with both sizes derived.
+
+        Built without the dataclass ``__init__``/``__post_init__`` (like
+        :meth:`copy_for`): this is the per-transmission path of every
+        transport session.
+        """
+        overhead = _overhead(logical_src)
+        packet = object.__new__(Packet)
+        packet.src = src
+        packet.dst = dst
+        packet.port = port
+        packet.event_cls = event_cls
+        packet.message = message
+        packet.logical_src = logical_src
+        packet.traffic_class = traffic_class
+        packet.size_bytes = message.size_bytes + overhead
+        packet.wire_bytes = message.wire_bytes + overhead
+        packet.sent_at = 0.0
+        packet.hops = 0
+        packet.packet_id = next(_packet_ids)
+        return packet
 
     @property
     def is_multicast(self) -> bool:

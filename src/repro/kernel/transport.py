@@ -189,19 +189,18 @@ class DatagramTransportSession(Session):
     # -- outbound ---------------------------------------------------------------
 
     def _send(self, event: SendableEvent) -> None:
-        assert self.node is not None and event.channel is not None
+        node = self.node
+        assert node is not None and event.channel is not None
         if event.dest is None:
             raise ValueError(f"outgoing {event!r} has no destination")
         # The logical source may differ from the transmitting node when a
         # relay forwards on behalf of a sender; it rides the packet field,
         # not the header stack.
-        source = event.source if event.source is not None else self.node.node_id
-        packet = Packet(src=self.node.node_id, dst=event.dest,
-                        port=event.channel.name, event_cls=type(event),
-                        message=event.message.wire_copy(),
-                        logical_src=source,
-                        traffic_class=event.traffic_class)
-        self.node.send(packet)
+        source = event.source if event.source is not None else node.node_id
+        node.send(Packet.outgoing(node.node_id, event.dest,
+                                  event.channel.name, type(event),
+                                  event.message.wire_copy(), source,
+                                  event.traffic_class))
 
     # -- inbound ----------------------------------------------------------------
 

@@ -205,12 +205,7 @@ class MechoSession(GroupSession):
         else:
             # Wired mode (or a degenerate wireless config with no relay):
             # fan out directly, like the baseline.
-            for member in self.others():
-                wire = event.clone()
-                wire.source = self.local
-                wire.dest = member
-                self._push_header(wire, DIRECT, self.local)
-                self.send_down(wire, channel=channel)
+            self._fan_out(event, self.others(), DIRECT, self.local)
         loopback = event.clone()
         loopback.source = self.local
         loopback.dest = self.local
@@ -244,19 +239,31 @@ class MechoSession(GroupSession):
                             origin: str) -> None:
         """Forward a mobile node's message to the remaining participants."""
         assert self.local is not None
-        channel = event.channel
         if not self.is_relay:
             # A stale relay selection can address a non-relay node; deliver
             # locally anyway (best-effort) but honour the forward request so
             # the group still converges.
             pass
-        for member in self.members:
-            if member == origin or member == self.local:
-                continue
-            wire = event.clone()
-            wire.source = origin
+        self._fan_out(event, [member for member in self.members
+                              if member != origin and member != self.local],
+                      RELAYED, origin)
+
+    def _fan_out(self, event: GroupSendableEvent, members, kind: str,
+                 origin: str) -> None:
+        """Send one framed copy of ``event`` to each of ``members``.
+
+        The framing header is pushed once, onto one clone, and every wire
+        is a clone of that: all of them share one header cell, so the
+        fan-out sizes and encodes its frame once.  Headers are frozen
+        values, so the bytes are those of N separately framed clones.
+        """
+        channel = event.channel
+        framed = event.clone()
+        framed.source = origin
+        self._push_header(framed, kind, origin)
+        for member in members:
+            wire = framed.clone()
             wire.dest = member
-            self._push_header(wire, RELAYED, origin)
             self.send_down(wire, channel=channel)
 
 

@@ -320,10 +320,10 @@ class Network:
         if not sender.alive:
             sender.stats.record_dropped()
             return
-        packet.sent_at = self.engine.now()
+        packet.sent_at = now = self.engine.now()
         sender.stats.record_sent(packet)
-        if sender.is_mobile and sender.battery is not None:
-            sender.battery.consume_tx(packet.size_bytes, self.engine.now())
+        if sender.kind is NodeKind.MOBILE and sender.battery is not None:
+            sender.battery.consume_tx(packet.size_bytes, now)
         if packet.is_multicast:
             self._check_multicast_legal(sender, packet)
             for dst in packet.dst:
@@ -386,18 +386,23 @@ class Network:
         if dst is None:
             self.lost_packets += 1
             return
-        if not self._reachable(sender.node_id, dst_id):
+        sender_id = sender.node_id
+        if self._partitions is not None and \
+                not self._reachable(sender_id, dst_id):
             self.lost_packets += 1
             return
         hops = self._hops_between(sender, dst)
         delay = 0.0
-        sender_id = sender.node_id
+        size = packet.size_bytes
         for link in hops:
-            if self._sender_loss(link.loss, sender_id).is_lost(
-                    packet.size_bytes):
+            loss = link.loss
+            # A perfect link draws nothing: skip resolving its stream.
+            if type(loss) is not NoLoss and \
+                    self._sender_loss(loss, sender_id).is_lost(size):
                 self.lost_packets += 1
                 return
-            delay += link.delay_for(packet.size_bytes)
+            # LinkParams.delay_for, term for term (bit-identical sums).
+            delay += link.latency_s + (size * 8.0) / link.bandwidth_bps
         packet.hops = len(hops)
         when = self.engine.now() + delay
         dst_engine = self.clock_for(dst_id)
@@ -439,12 +444,11 @@ class Network:
         return engine.peek_due()
 
     def _hops_between(self, src: SimNode, dst: SimNode) -> list[LinkParams]:
-        if src.is_fixed and dst.is_fixed:
-            return [self.wired]
-        if src.is_fixed and dst.is_mobile:
+        src_fixed = src.kind is NodeKind.FIXED
+        if dst.kind is NodeKind.FIXED:
+            return [self.wired] if src_fixed else [self.wireless, self.wired]
+        if src_fixed:
             return [self.wired, self.wireless]
-        if src.is_mobile and dst.is_fixed:
-            return [self.wireless, self.wired]
         return [self.wireless, self.wireless]  # mobile→AP→mobile
 
     def _deliver(self, dst: SimNode, packet: Packet) -> None:
@@ -454,13 +458,14 @@ class Network:
         # loss (``lost_packets``) *and* one drop charged to the receiver
         # (``dropped_packets``) — the two failure modes are
         # indistinguishable to every other observer and must count alike.
-        if not dst.alive or not self._reachable(packet.src, dst.node_id):
+        if not dst.alive or (self._partitions is not None and
+                             not self._reachable(packet.src, dst.node_id)):
             self.lost_packets += 1
             dst.stats.record_dropped()
             return
         self.delivered_packets += 1
         dst.stats.record_received(packet)
-        if dst.is_mobile and dst.battery is not None:
+        if dst.kind is NodeKind.MOBILE and dst.battery is not None:
             dst.battery.consume_rx(packet.size_bytes, self.engine.now())
         dst._on_packet(packet)
 

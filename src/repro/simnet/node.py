@@ -81,7 +81,7 @@ class SimNode:
         """
         if self.crashed:
             return False
-        if self.is_mobile and self.battery is not None \
+        if self.kind is NodeKind.MOBILE and self.battery is not None \
                 and not self.battery.alive:
             return False
         return True

@@ -87,3 +87,47 @@ class TestRobustness:
         bus.publish("x", 1)
         bus.publish("y", 2)
         assert bus.published_count == 2
+
+
+class TestResolvedRoutes:
+    """``publish`` caches each topic's subscribers; (un)subscribing must
+    invalidate the cache without changing who is notified, or in what
+    order."""
+
+    def test_subscriber_added_after_publish_sees_next_publish(self):
+        bus = TopicBus()
+        received = []
+        bus.subscribe("context.battery", lambda t, d: received.append("a"))
+        bus.publish("context.battery", 1)
+        bus.subscribe("context.*", lambda t, d: received.append("b"))
+        bus.subscribe("context.battery", lambda t, d: received.append("c"))
+        bus.publish("context.battery", 2)
+        assert received == ["a", "a", "c", "b"]
+
+    def test_unsubscribe_during_publish_suppresses_pending_subscriber(self):
+        bus = TopicBus()
+        received = []
+        later = None
+
+        def first(topic, data):
+            received.append("first")
+            later.unsubscribe()
+
+        bus.subscribe("t", first)
+        later = bus.subscribe("t", lambda t, d: received.append("later"))
+        assert bus.publish("t", 1) == 1
+        assert received == ["first"]
+        bus.publish("t", 2)
+        assert received == ["first", "first"]
+
+    def test_exact_first_then_prefixes_shortest_to_longest(self):
+        bus = TopicBus()
+        order = []
+        bus.subscribe("a.b.*", lambda t, d: order.append("a.b.*"))
+        bus.subscribe("a.*", lambda t, d: order.append("a.*"))
+        bus.subscribe("a.b.c", lambda t, d: order.append("exact"))
+        bus.subscribe("a.b.c.*", lambda t, d: order.append("a.b.c.*"))
+        for _ in range(2):  # the resolved route keeps the order
+            order.clear()
+            assert bus.publish("a.b.c", None) == 4
+            assert order == ["exact", "a.*", "a.b.*", "a.b.c.*"]

@@ -122,6 +122,18 @@ class TestRouting:
         assert event in channel.sessions[0].seen
         assert event not in channel.sessions[2].seen
 
+    def test_insert_from_foreign_session_raises(self, kernel):
+        channel = build_channel(kernel, [RecorderLayer() for _ in range(2)])
+        other = build_channel(kernel, [RecorderLayer()], name="other")
+        # Bind the member session's route first: the per-session route
+        # cache must not answer for a session outside the channel.
+        channel.sessions[0].send_up(PingEvent())
+        with pytest.raises(EventRoutingError):
+            channel.insert_from(other.sessions[0], PingEvent(), Direction.UP)
+        with pytest.raises(EventRoutingError):
+            channel.insert_from(other.sessions[0], PingEvent(),
+                                Direction.DOWN)
+
     def test_send_from_top_edge_is_silent_drop(self, kernel):
         channel = build_channel(kernel, [RecorderLayer()])
         event = PingEvent()

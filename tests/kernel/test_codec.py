@@ -189,3 +189,69 @@ class TestStructuredLeaves:
     def test_bool_is_not_encoded_as_int(self):
         back = decode_payload(encode_payload([True, 1, False, 0])[0])
         assert [type(item) for item in back] == [bool, int, bool, int]
+
+
+# -- wire size without encoding -------------------------------------------------
+
+#: Header values a layer may push: the scalar/container pool of payloads,
+#: so tuples, dicts and nested values all appear as whole headers.
+header_values = st.one_of(
+    st.tuples(wire_text, st.integers(0, 99)),
+    st.dictionaries(wire_text, wire_values, max_size=4),
+    wire_values,
+)
+
+
+class _Unencodable:
+    """A header value outside the wire format (legacy estimate only)."""
+
+
+class TestWireBytes:
+    @given(payload=wire_values,
+           built=st.lists(header_values, max_size=3),
+           pushed=st.lists(header_values, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_equals_encoded_length(self, payload, built, pushed):
+        # 0-6 headers: some built into the chain before the freeze, some
+        # pushed onto the wire copy (a fresh cell above a measured one).
+        wire = Message(payload=payload, headers=built).wire_copy()
+        assert wire.wire_bytes == len(encode_payload(wire)[0])
+        for header in pushed:
+            wire.push_header(header)
+            assert wire.wire_bytes == len(encode_payload(wire)[0])
+
+    def test_siblings_share_one_measurement(self):
+        framed = Message(payload={"seq": 1}).wire_copy()
+        framed.push_header(("mecho", "direct", "n1"))
+        wires = [framed.copy() for _ in range(3)]
+        lengths = {wire.wire_bytes for wire in wires}
+        assert lengths == {len(encode_payload(framed)[0])}
+        assert framed._top.wire_len is not None  # cached on the shared cell
+
+    def test_unencodable_header_falls_back_to_size_bytes(self):
+        wire = Message(payload={"seq": 1}).wire_copy()
+        wire.push_header(_Unencodable())
+        assert wire.wire_bytes == wire.size_bytes
+        # The sentinel propagates to every cell stacked above it.
+        wire.push_header(("rm", 7))
+        assert wire.wire_bytes == wire.size_bytes
+        wire.pop_header()
+        wire.pop_header()
+        assert wire.wire_bytes == len(encode_payload(wire)[0])
+
+    def test_parity_mode_checks_every_call(self):
+        wire = Message(payload={"seq": 1}, headers=[("rm", 7)]).wire_copy()
+        codec.set_parity(True)
+        try:
+            assert wire.wire_bytes == len(encode_payload(wire)[0])
+            wire._top.wire_len += 1  # a wrong cached length
+            with pytest.raises(AssertionError):
+                wire.wire_bytes
+        finally:
+            codec.set_parity(False)
+
+    def test_wire_copy_seeds_payload_size_from_the_charge(self):
+        message = Message(payload={"kind": "data", "seq": 9, "text": "hi"})
+        wire = message.wire_copy()
+        assert wire._payload_size == wire._payload.size_bytes
+        assert wire.size_bytes == message.size_bytes

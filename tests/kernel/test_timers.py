@@ -195,6 +195,57 @@ class TestBackoff:
             BackoffTimerEvent("bad", interval=1.0, max_interval=0.0)
 
 
+class TestTimerDispatchCount:
+    """``Kernel.timer_dispatched_count`` is counted where a timer fires;
+    it must equal the timer events actually dispatched."""
+
+    def test_one_shot(self, kernel, clock):
+        channel = build_channel(kernel, [_TimerLayer()])
+        session = channel.sessions[0]
+        session.set_timer(1.0, tag="once")
+        clock.advance(5.0)
+        assert kernel.timer_dispatched_count == len(session.fired) == 1
+
+    def test_periodic(self, kernel, clock):
+        channel = build_channel(kernel, [_TimerLayer()])
+        session = channel.sessions[0]
+        session.set_periodic_timer(1.0, tag="tick")
+        clock.advance(5.5)
+        assert kernel.timer_dispatched_count == len(session.fired) == 5
+
+    def test_backoff(self, kernel, clock):
+        channel = build_channel(kernel, [_TimerLayer()])
+        session = channel.sessions[0]
+        session.set_backoff_timer(1.0, tag="probe")  # fires at 1, 3, 7
+        clock.advance(8.0)
+        assert kernel.timer_dispatched_count == len(session.fired) == 3
+
+    def test_handler_cancelling_its_own_timer(self, kernel, clock):
+        class _SelfCancellingSession(_TimerSession):
+            def handle(self, event):
+                super().handle(event)
+                if isinstance(event, TimerEvent):
+                    self.own_handle.cancel()
+
+        class _SelfCancellingLayer(_TimerLayer):
+            session_class = _SelfCancellingSession
+
+        channel = build_channel(kernel, [_SelfCancellingLayer()])
+        session = channel.sessions[0]
+        session.own_handle = session.set_periodic_timer(1.0, tag="tick")
+        clock.advance(10.0)
+        assert kernel.timer_dispatched_count == len(session.fired) == 1
+
+    def test_timer_on_a_closed_channel(self, kernel, clock):
+        channel = build_channel(kernel, [_TimerLayer()])
+        session = channel.sessions[0]
+        session.set_timer(1.0, tag="late")
+        session.set_periodic_timer(0.5, tag="tick")
+        channel.close()
+        clock.advance(5.0)
+        assert kernel.timer_dispatched_count == len(session.fired) == 0
+
+
 class TestManualClock:
     def test_now_advances(self, clock):
         assert clock.now() == 0.0

@@ -152,3 +152,49 @@ class TestInvariants:
         for node_id, channel in channels.items():
             payloads = collector_of(channel).payloads()
             assert len(payloads) == len(set(map(str, payloads))) == 30, node_id
+
+
+def _record_data_frames(network, sender_id: str) -> list:
+    """Capture ``(top cell, handle copy)`` of each data packet ``sender_id``
+    transmits.  The copy is taken at transmit time: receivers pop the
+    packet's own handle on delivery."""
+    frames = []
+    transmit = network.transmit
+
+    def recording(sender, packet):
+        if sender.node_id == sender_id and packet.traffic_class == DATA:
+            frames.append((packet.message._top, packet.message.copy()))
+        transmit(sender, packet)
+
+    network.transmit = recording
+    return frames
+
+
+class TestFramedFanOut:
+    """A fan-out pushes its framing header once: every wire shares one
+    header cell, and popping it on one wire leaves the others framed."""
+
+    @pytest.mark.parametrize("sender, kind, wires", [
+        ("fixed-0", "direct", 3),     # wired fan-out to the three mobiles
+        ("mobile-0", "relayed", 2),   # the relay forwards to the other two
+    ])
+    def test_wires_share_one_header_cell(self, sender, kind, wires):
+        engine, network, channels = build_hybrid(num_mobile=3)
+        engine.run_until(0.5)
+        frames = _record_data_frames(network, "fixed-0")
+        collector_of(channels[sender]).send_text("framed-once")
+        engine.run_until(3.0)
+        assert len(frames) == wires
+        assert len({id(top) for top, _ in frames}) == 1
+        for channel in channels.values():
+            assert collector_of(channel).payloads() == ["framed-once"]
+        # Every receiver popped its own handle on delivery; the siblings
+        # captured at transmit time still carry the shared frame.
+        handles = [handle for _, handle in frames]
+        for handle in handles:
+            assert handle.peek_header() == ("mecho", kind, sender)
+        depth = handles[0].header_depth
+        handles[0].pop_header()
+        for handle in handles[1:]:
+            assert handle.header_depth == depth
+            assert handle.peek_header() == ("mecho", kind, sender)

@@ -1,9 +1,10 @@
 """Channels: live instances of a QoS with one session per layer.
 
 A channel routes typed events through its session stack.  Route optimization
-follows the paper (§3.1): using the layers' ``accepted_events`` declarations
-the kernel computes, per event type and direction, the exact sequence of
-sessions an event visits — uninterested layers are skipped entirely.
+follows the paper (§3.1): using the layers' ``accepted_events`` (and, for
+UP events, ``accepted_up``) declarations the kernel computes, per event type
+and direction, the exact sequence of sessions an event visits — uninterested
+layers are skipped entirely.
 
 Lifecycle::
 
@@ -174,7 +175,7 @@ class Channel:
         else:
             candidates = list(enumerate(self.qos.layers))[:start + 1][::-1]
         route = [self.sessions[index] for index, layer in candidates
-                 if implicit or layer.accepts(event)]
+                 if implicit or layer.accepts(event, up)]
         self._route_cache[key] = route
         return route
 

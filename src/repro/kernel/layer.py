@@ -5,7 +5,8 @@ and acts as a factory for *sessions* (the stateful half).  The declarations
 drive two kernel services:
 
 * **route optimization** — events of a type a layer did not declare in
-  ``accepted_events`` are never delivered to its sessions;
+  ``accepted_events`` (or, travelling up, in ``accepted_up``) are never
+  delivered to its sessions;
 * **QoS validation** — a composition is rejected when a layer requires an
   event type that no other layer provides.
 """
@@ -29,12 +30,18 @@ class Layer:
         accepted_events: event types whose instances this layer's sessions
             must receive.  Matching is by ``isinstance``, so accepting a base
             type accepts its subclasses.
+        accepted_up: the event types the sessions must receive when they
+            travel UP; ``None`` (the default) means ``accepted_events``.
+            Declared by layers whose handler only forwards (``event.go()``)
+            some accepted types on their way up, so routes skip them there.
+            Routes therefore depend on direction as well as event type.
         provided_events: event types this layer's sessions may create.
         required_events: event types that must be provided by *another* layer
             in any composition that includes this layer.
     """
 
     accepted_events: ClassVar[tuple[type[Event], ...]] = ()
+    accepted_up: ClassVar[Optional[tuple[type[Event], ...]]] = None
     provided_events: ClassVar[tuple[type[Event], ...]] = ()
     required_events: ClassVar[tuple[type[Event], ...]] = ()
 
@@ -52,9 +59,13 @@ class Layer:
             return cls.layer_name
         return _snake_case(cls.__name__.removesuffix("Layer"))
 
-    def accepts(self, event: Event) -> bool:
-        """Return ``True`` when this layer declared interest in ``event``."""
-        return isinstance(event, self.accepted_events) if self.accepted_events else False
+    def accepts(self, event: Event, up: bool) -> bool:
+        """Return ``True`` when this layer declared interest in ``event``
+        travelling UP (``up``) or DOWN."""
+        accepted = self.accepted_events
+        if up and self.accepted_up is not None:
+            accepted = self.accepted_up
+        return isinstance(event, accepted) if accepted else False
 
     def create_session(self) -> "Session":
         """Create a fresh session holding this layer's per-channel state.

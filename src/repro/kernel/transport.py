@@ -19,9 +19,9 @@ Two structural protocols pin the seam down:
   drives (``node_id``, ``kernel``, port binding, ``send``).  Satisfied by
   :class:`repro.simnet.node.SimNode` and :class:`repro.livenet.node.LiveNode`.
 * :class:`Transport` — the network-side surface the scenario and Morpheus
-  layers drive (node registry, topology mutation, counters, a shared
-  :class:`~repro.kernel.clock.Clock` as ``engine``).  Satisfied by
-  :class:`repro.simnet.network.Network` and
+  layers drive (node registry, topology mutation and reachability,
+  counters, a shared :class:`~repro.kernel.clock.Clock` as ``engine``).
+  Satisfied by :class:`repro.simnet.network.Network` and
   :class:`repro.livenet.network.LiveNetwork`.
 
 Addressing convention carried by ``SendableEvent.dest``:
@@ -115,6 +115,11 @@ class Transport(Protocol):
         ...  # pragma: no cover - protocol declaration
 
     def heal_partition(self) -> None:
+        ...  # pragma: no cover - protocol declaration
+
+    def reachable(self, src: str, dst: str) -> bool:
+        """Whether packets from ``src`` can currently reach ``dst`` across
+        the partition topology (loss and crashes are separate)."""
         ...  # pragma: no cover - protocol declaration
 
     def subscribe_topology(self, listener: Callable[[Any], None]) -> None:

@@ -251,7 +251,9 @@ class LiveNetwork:
         self._partitions = None
         self._notify("heal", None)
 
-    def _reachable(self, src: str, dst: str) -> bool:
+    def reachable(self, src: str, dst: str) -> bool:
+        """Whether packets from ``src`` can currently reach ``dst``
+        (partition topology only — loss and crash are separate)."""
         if self._partitions is None:
             return True
         for group in self._partitions:
@@ -306,7 +308,7 @@ class LiveNetwork:
         if local is None and dst_id not in self._addresses:
             self.lost_packets += 1  # departed or unknown destination
             return
-        if not self._reachable(sender.node_id, dst_id):
+        if not self.reachable(sender.node_id, dst_id):
             self.lost_packets += 1
             return
         try:
@@ -346,7 +348,7 @@ class LiveNetwork:
         if node is None:
             self.lost_packets += 1  # departed while the frame was in flight
             return
-        if not node.alive or not self._reachable(packet.src, node.node_id):
+        if not node.alive or not self.reachable(packet.src, node.node_id):
             self.lost_packets += 1
             node.stats.record_dropped()
             return

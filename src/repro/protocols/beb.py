@@ -89,5 +89,7 @@ class BestEffortMulticastLayer(Layer):
 
     layer_name = "beb"
     accepted_events = (SendableEvent, ViewEvent)
+    # Only DOWN sends are acted on; an UP send would only be forwarded.
+    accepted_up = (ViewEvent,)
     provided_events = (GroupSendableEvent,)
     session_class = BestEffortMulticastSession

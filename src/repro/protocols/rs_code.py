@@ -10,12 +10,22 @@ makes the code MDS (maximum distance separable): up to ``m`` erasures are
 always recoverable.
 
 Pure-Python GF(256) arithmetic with exp/log tables (polynomial 0x11d, the
-conventional choice).  Block sizes in this system are chat messages —
-tens of bytes — so table-driven byte loops are plenty fast.
+conventional choice).  A block in this system is one pickled chat message,
+a few hundred bytes, so the kernels work a whole block at a time rather
+than byte by byte:
+
+* multiplying a block by a coefficient ``c`` is ``block.translate(row(c))``,
+  where ``row(c)`` is the 256-byte table of ``c·x`` (built on first use);
+* adding blocks (XOR) is XOR of their little-endian integers, so blocks of
+  unequal length need no padding — the missing high bytes are zero.
+
+Only the ``e × e`` coefficient matrix of a decode (``e <= m``) is reduced
+with scalar :func:`gf_mul`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 _PRIMITIVE_POLY = 0x11D
@@ -54,23 +64,38 @@ def gf_div(a: int, b: int) -> int:
     return gf_mul(a, gf_inv(b))
 
 
+#: ``_ROWS[c]`` is the translation table of ``x ↦ c·x``, built on first use.
+_ROWS: list[Optional[bytes]] = [None] * 256
+
+
+def _row(c: int) -> bytes:
+    """The 256-byte table mapping each byte ``x`` to ``c·x``."""
+    row = _ROWS[c]
+    if row is None:
+        row = _ROWS[c] = bytes(gf_mul(c, x) for x in range(256))
+    return row
+
+
+def _scaled(c: int, block: bytes) -> int:
+    """``c · block`` as a little-endian integer (XOR adds two of them)."""
+    return int.from_bytes(block.translate(_row(c)), "little")
+
+
 # --- code construction ----------------------------------------------------------
 
 
-def cauchy_matrix(k: int, m: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def cauchy_matrix(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """The ``k × m`` Cauchy parity matrix ``C[i][j] = 1 / (x_i ⊕ y_j)``.
 
     Evaluation points ``x_i = i`` and ``y_j = k + j`` are pairwise distinct
-    for ``k + m <= 256``.
+    for ``k + m <= 256``.  Computed once per ``(k, m)``; the result is
+    immutable because it is shared.
     """
     if k < 1 or m < 0 or k + m > 256:
         raise ValueError(f"unsupported code parameters k={k}, m={m}")
-    return [[gf_inv(i ^ (k + j)) for j in range(m)] for i in range(k)]
-
-
-def _pad(blocks: Sequence[bytes]) -> tuple[list[bytes], int]:
-    width = max((len(block) for block in blocks), default=0)
-    return [block.ljust(width, b"\0") for block in blocks], width
+    return tuple(tuple(gf_inv(i ^ (k + j)) for j in range(m))
+                 for i in range(k))
 
 
 def rs_encode(data_blocks: Sequence[bytes], m: int) -> list[bytes]:
@@ -78,20 +103,14 @@ def rs_encode(data_blocks: Sequence[bytes], m: int) -> list[bytes]:
 
     Returns parity blocks of length ``max(len(block))``.
     """
-    k = len(data_blocks)
-    matrix = cauchy_matrix(k, m)
-    padded, width = _pad(data_blocks)
+    matrix = cauchy_matrix(len(data_blocks), m)
+    width = max((len(block) for block in data_blocks), default=0)
     parities = []
     for j in range(m):
-        parity = bytearray(width)
-        for i, block in enumerate(padded):
-            coefficient = matrix[i][j]
-            if coefficient == 0:
-                continue
-            for offset, byte in enumerate(block):
-                if byte:
-                    parity[offset] ^= gf_mul(coefficient, byte)
-        parities.append(bytes(parity))
+        parity = 0
+        for row, block in zip(matrix, data_blocks):
+            parity ^= _scaled(row[j], block)
+        parities.append(parity.to_bytes(width, "little"))
     return parities
 
 
@@ -105,7 +124,7 @@ def rs_decode(pieces: dict[int, bytes], k: int, m: int,
             pieces must be present.
         k, m: code parameters used at encode time.
         lengths: original data block lengths (for padding removal); when
-            omitted, padded blocks are returned.
+            omitted, blocks padded to the widest piece are returned.
 
     Raises:
         ValueError: when fewer than ``k`` pieces survive, or indices are out
@@ -121,12 +140,13 @@ def rs_decode(pieces: dict[int, bytes], k: int, m: int,
             f"unrecoverable: {len(erased)} data blocks erased but only "
             f"{len(available_parity)} parity blocks survive")
     matrix = cauchy_matrix(k, m)
-    present, width = _pad([pieces[i] for i in sorted(pieces)])
-    by_index = dict(zip(sorted(pieces), present))
-    data: list[Optional[bytes]] = [by_index.get(i) for i in range(k)]
+    width = max((len(piece) for piece in pieces.values()), default=0)
+    data: list[Optional[bytes]] = [
+        pieces[i].ljust(width, b"\0") if i in pieces else None
+        for i in range(k)]
     if erased:
         data = _solve_erasures(data, erased, available_parity[:len(erased)],
-                               by_index, matrix, k, width)
+                               pieces, matrix, k, width)
     blocks = [block if block is not None else b"" for block in data]
     if lengths is not None:
         blocks = [block[:length] for block, length in zip(blocks, lengths)]
@@ -134,53 +154,44 @@ def rs_decode(pieces: dict[int, bytes], k: int, m: int,
 
 
 def _solve_erasures(data: list[Optional[bytes]], erased: list[int],
-                    parity_rows: list[int], by_index: dict[int, bytes],
-                    matrix: list[list[int]], k: int,
+                    parity_rows: list[int], pieces: dict[int, bytes],
+                    matrix: Sequence[Sequence[int]], k: int,
                     width: int) -> list[Optional[bytes]]:
-    """Gaussian elimination for the erased positions, byte column by column."""
-    e = len(erased)
-    # Right-hand side: parity bytes minus contributions of surviving data.
+    """Gaussian elimination for the erased positions, a block per step."""
+    # Right-hand side: parity minus the contributions of surviving data.
     rhs = []
     for j in parity_rows:
-        adjusted = bytearray(by_index[k + j])
-        for i in range(k):
-            block = data[i]
-            if block is None or i in erased:
-                continue
-            coefficient = matrix[i][j]
-            if coefficient == 0:
-                continue
-            for offset in range(width):
-                if block[offset]:
-                    adjusted[offset] ^= gf_mul(coefficient, block[offset])
-        rhs.append(adjusted)
+        adjusted = int.from_bytes(pieces[k + j], "little")
+        for i, block in enumerate(data):
+            if block is not None:
+                adjusted ^= _scaled(matrix[i][j], block)
+        rhs.append(adjusted.to_bytes(width, "little"))
     # Coefficient matrix rows: parity j, columns: erased data i.
     coeffs = [[matrix[i][j] for i in erased] for j in parity_rows]
-    solution = _gaussian_solve(coeffs, rhs, e, width)
+    solution = _gaussian_solve(coeffs, rhs, len(erased), width)
     for position, block in zip(erased, solution):
-        data[position] = bytes(block)
+        data[position] = block
     return data
 
 
-def _gaussian_solve(coeffs: list[list[int]], rhs: list[bytearray],
-                    e: int, width: int) -> list[bytearray]:
-    """Solve ``coeffs · x = rhs`` over GF(256) for byte-vector unknowns."""
-    a = [row[:] for row in coeffs]
-    b = [bytearray(row) for row in rhs]
+def _gaussian_solve(coeffs: list[list[int]], rhs: list[bytes],
+                    e: int, width: int) -> list[bytes]:
+    """Solve ``coeffs · x = rhs`` over GF(256) for ``width``-byte unknowns."""
+    a = [list(row) for row in coeffs]
+    b = [bytes(row) for row in rhs]
     for col in range(e):
         pivot_row = next(row for row in range(col, e) if a[row][col] != 0)
         a[col], a[pivot_row] = a[pivot_row], a[col]
         b[col], b[pivot_row] = b[pivot_row], b[col]
         inverse = gf_inv(a[col][col])
         a[col] = [gf_mul(value, inverse) for value in a[col]]
-        b[col] = bytearray(gf_mul(byte, inverse) for byte in b[col])
+        b[col] = b[col].translate(_row(inverse))
         for row in range(e):
             if row == col or a[row][col] == 0:
                 continue
             factor = a[row][col]
             a[row] = [a[row][i] ^ gf_mul(factor, a[col][i])
                       for i in range(e)]
-            for offset in range(width):
-                if b[col][offset]:
-                    b[row][offset] ^= gf_mul(factor, b[col][offset])
+            b[row] = (int.from_bytes(b[row], "little")
+                      ^ _scaled(factor, b[col])).to_bytes(width, "little")
     return b

@@ -85,5 +85,7 @@ class ViewSyncLayer(Layer):
 
     layer_name = "view_sync"
     accepted_events = (SequencedEvent, BlockEvent, QuiescentEvent, ViewEvent)
+    # An UP SequencedEvent is only forwarded; only DOWN sends are held.
+    accepted_up = (BlockEvent, QuiescentEvent, ViewEvent)
     provided_events = ()
     session_class = ViewSyncSession

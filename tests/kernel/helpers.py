@@ -60,6 +60,13 @@ class AllSendableRecorderLayer(RecorderLayer):
     accepted_events = (SendableEvent,)
 
 
+class DownOnlyPingRecorderLayer(RecorderLayer):
+    """Accepts Ping and Pong events, but of UP events only Pong ones."""
+
+    accepted_events = (PingEvent, PongEvent)
+    accepted_up = (PongEvent,)
+
+
 class ConsumerSession(RecorderSession):
     """Records events but never forwards them (except lifecycle events)."""
 

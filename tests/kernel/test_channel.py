@@ -6,11 +6,13 @@ import pytest
 
 from repro.kernel import (ChannelState, ChannelStateError, DebugEvent,
                           Direction, EchoEvent, EventRoutingError, Kernel,
-                          QoS, SendableEvent)
+                          Message, QoS, SendableEvent)
+from repro.protocols import (ApplicationMessage, BestEffortMulticastLayer,
+                             BlockEvent, View, ViewEvent, ViewSyncLayer)
 from tests.kernel.helpers import (AllSendableRecorderLayer, ConsumerLayer,
-                                  HoldingLayer, PingEvent, PongEvent,
-                                  PongRecorderLayer, RecorderLayer,
-                                  build_channel)
+                                  DownOnlyPingRecorderLayer, HoldingLayer,
+                                  PingEvent, PongEvent, PongRecorderLayer,
+                                  RecorderLayer, build_channel)
 
 
 @pytest.fixture
@@ -155,6 +157,86 @@ class TestRouting:
         channel.insert(event, Direction.UP)
         for session in channel.sessions:
             assert event in session.seen
+
+
+class TestDirectionalRoutes:
+    """``accepted_up`` narrows the UP routes of a layer, not its DOWN ones."""
+
+    def test_narrow_up_layer_skipped_on_up_routes_only(self, kernel):
+        channel = build_channel(kernel, [RecorderLayer(),
+                                         DownOnlyPingRecorderLayer(),
+                                         RecorderLayer()])
+        narrow = channel.sessions[1]
+        up_ping = PingEvent()
+        channel.insert(up_ping, Direction.UP)
+        assert up_ping in channel.sessions[2].seen
+        assert up_ping not in narrow.seen
+        down_ping = PingEvent()
+        channel.insert(down_ping, Direction.DOWN)
+        assert down_ping in narrow.seen
+        up_pong = PongEvent()
+        channel.sessions[0].send_up(up_pong)
+        assert up_pong in narrow.seen
+
+    def test_channel_events_still_visit_narrow_layer(self, kernel):
+        channel = build_channel(kernel, [DownOnlyPingRecorderLayer()])
+        narrow = channel.sessions[0]
+        channel.close()
+        assert (narrow.inits, narrow.closes) == (1, 1)
+        assert narrow.seen_types() == ["ChannelInit", "ChannelClose"]
+
+
+class _TopLayer(RecorderLayer):
+    accepted_events = (ApplicationMessage, BlockEvent, ViewEvent)
+
+
+class _ForwardingBeb(BestEffortMulticastLayer):
+    accepted_up = None
+
+
+class _ForwardingViewSync(ViewSyncLayer):
+    accepted_up = None
+
+
+class TestPassThroughSkipped:
+    """``beb`` and ``view_sync`` only forward UP application messages."""
+
+    @staticmethod
+    def _stack(kernel, beb, view_sync):
+        return build_channel(kernel, [beb, view_sync, _TopLayer()])
+
+    @staticmethod
+    def _dispatches(kernel, channel, event):
+        before = kernel.dispatched_count
+        channel.insert(event, Direction.UP)
+        return kernel.dispatched_count - before
+
+    def test_up_application_message_skips_beb_and_view_sync(self, kernel):
+        channel = self._stack(kernel, BestEffortMulticastLayer(members="a,b"),
+                              ViewSyncLayer())
+        message = ApplicationMessage(message=Message(payload="hi"))
+        assert self._dispatches(kernel, channel, message) == 1
+        assert message in channel.sessions[2].seen
+
+    def test_up_block_and_view_still_reach_view_sync(self, kernel):
+        channel = self._stack(kernel, BestEffortMulticastLayer(members="a,b"),
+                              ViewSyncLayer())
+        beb, view_sync, top = channel.sessions
+        channel.insert(ViewEvent(View("g", 1, ("a", "b", "c"))), Direction.UP)
+        assert not view_sync.blocked
+        assert beb.members == view_sync.members == ("a", "b", "c")
+        channel.insert(BlockEvent(2), Direction.UP)
+        assert view_sync.blocked
+        assert top.seen_types()[-2:] == ["ViewEvent", "BlockEvent"]
+
+    def test_dispatch_count_drops_by_skipped_hops(self, kernel):
+        narrow = self._stack(kernel, BestEffortMulticastLayer(members="a,b"),
+                             ViewSyncLayer())
+        forwarding = self._stack(kernel, _ForwardingBeb(members="a,b"),
+                                 _ForwardingViewSync())
+        counts = [self._dispatches(kernel, channel, ApplicationMessage(
+            message=Message(payload="hi"))) for channel in (narrow, forwarding)]
+        assert counts == [1, 3]
 
 
 class TestEcho:

@@ -2,15 +2,128 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.rs_code import (cauchy_matrix, gf_div, gf_inv, gf_mul,
-                                     rs_decode, rs_encode)
+from repro.protocols.rs_code import (_gaussian_solve, cauchy_matrix, gf_div,
+                                     gf_inv, gf_mul, rs_decode, rs_encode)
 
 byte = st.integers(min_value=0, max_value=255)
 nonzero_byte = st.integers(min_value=1, max_value=255)
+
+
+# --- reference: the byte-at-a-time code the block kernels replaced -----------
+
+
+def _ref_pad(blocks):
+    width = max((len(block) for block in blocks), default=0)
+    return [block.ljust(width, b"\0") for block in blocks], width
+
+
+def ref_rs_encode(data_blocks, m):
+    k = len(data_blocks)
+    matrix = cauchy_matrix(k, m)
+    padded, width = _ref_pad(data_blocks)
+    parities = []
+    for j in range(m):
+        parity = bytearray(width)
+        for i, block in enumerate(padded):
+            coefficient = matrix[i][j]
+            for offset, value in enumerate(block):
+                if value:
+                    parity[offset] ^= gf_mul(coefficient, value)
+        parities.append(bytes(parity))
+    return parities
+
+
+def ref_rs_decode(pieces, k, m, lengths=None):
+    for index in pieces:
+        if not 0 <= index < k + m:
+            raise ValueError(f"piece index {index} out of range")
+    erased = [i for i in range(k) if i not in pieces]
+    available_parity = [j for j in range(m) if (k + j) in pieces]
+    if len(erased) > len(available_parity):
+        raise ValueError(
+            f"unrecoverable: {len(erased)} data blocks erased but only "
+            f"{len(available_parity)} parity blocks survive")
+    matrix = cauchy_matrix(k, m)
+    present, width = _ref_pad([pieces[i] for i in sorted(pieces)])
+    by_index = dict(zip(sorted(pieces), present))
+    data: list[Optional[bytes]] = [by_index.get(i) for i in range(k)]
+    if erased:
+        data = ref_solve_erasures(data, erased,
+                                  available_parity[:len(erased)], by_index,
+                                  matrix, k, width)
+    blocks = [block if block is not None else b"" for block in data]
+    if lengths is not None:
+        blocks = [block[:length] for block, length in zip(blocks, lengths)]
+    return blocks
+
+
+def ref_solve_erasures(data, erased, parity_rows, by_index, matrix, k,
+                       width):
+    rhs = []
+    for j in parity_rows:
+        adjusted = bytearray(by_index[k + j])
+        for i in range(k):
+            block = data[i]
+            if block is None or i in erased:
+                continue
+            for offset in range(width):
+                if block[offset]:
+                    adjusted[offset] ^= gf_mul(matrix[i][j], block[offset])
+        rhs.append(adjusted)
+    coeffs = [[matrix[i][j] for i in erased] for j in parity_rows]
+    solution = ref_gaussian_solve(coeffs, rhs, len(erased), width)
+    for position, block in zip(erased, solution):
+        data[position] = bytes(block)
+    return data
+
+
+def ref_gaussian_solve(coeffs, rhs, e, width):
+    a = [row[:] for row in coeffs]
+    b = [bytearray(row) for row in rhs]
+    for col in range(e):
+        pivot_row = next(row for row in range(col, e) if a[row][col] != 0)
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        inverse = gf_inv(a[col][col])
+        a[col] = [gf_mul(value, inverse) for value in a[col]]
+        b[col] = bytearray(gf_mul(value, inverse) for value in b[col])
+        for row in range(e):
+            if row == col or a[row][col] == 0:
+                continue
+            factor = a[row][col]
+            a[row] = [a[row][i] ^ gf_mul(factor, a[col][i])
+                      for i in range(e)]
+            for offset in range(width):
+                if b[col][offset]:
+                    b[row][offset] ^= gf_mul(factor, b[col][offset])
+    return b
+
+
+def _outcome(decode, *args):
+    """``decode(*args)`` or the ``ValueError`` message it raised."""
+    try:
+        return decode(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def sparse_block(draw):
+    """A block of 0–600 bytes, often rich in zero bytes (the reference
+    skipped zeros; the kernels skip nothing)."""
+    length = draw(st.integers(min_value=0, max_value=600))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return bytes(0 if rng.random() < zero_share else rng.randrange(1, 256)
+                 for _ in range(length))
 
 
 class TestFieldArithmetic:
@@ -105,7 +218,6 @@ class TestEncodeDecode:
     )
     def test_any_k_pieces_reconstruct(self, data, m, seed):
         """MDS property: any k of the k+m pieces reconstruct the data."""
-        import random
         k = len(data)
         parities = rs_encode(data, m)
         all_pieces = {i: block for i, block in enumerate(data)}
@@ -123,3 +235,54 @@ class TestEncodeDecode:
         parities = rs_encode(data, 2)
         widest = max(len(block) for block in data)
         assert all(len(parity) == widest for parity in parities)
+
+
+class TestMatchesByteReference:
+    """The block kernels are byte-identical to the per-byte reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.lists(sparse_block(), min_size=1, max_size=12),
+           m=st.integers(min_value=0, max_value=4))
+    def test_encode_matches(self, data, m):
+        assert rs_encode(data, m) == ref_rs_encode(data, m)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.lists(sparse_block(), min_size=1, max_size=12),
+           m=st.integers(min_value=0, max_value=4))
+    def test_decode_matches_for_every_erasure_pattern(self, data, m):
+        k = len(data)
+        pieces = dict(enumerate(data))
+        pieces.update((k + j, parity)
+                      for j, parity in enumerate(rs_encode(data, m)))
+        lengths = [len(block) for block in data]
+        # Every pattern of up to m erasures, plus one erasure too many.
+        for count in range(min(m + 1, k + m) + 1):
+            for erased in itertools.combinations(range(k + m), count):
+                surviving = {index: piece for index, piece in pieces.items()
+                             if index not in erased}
+                padded = _outcome(ref_rs_decode, surviving, k, m)
+                trimmed = padded if isinstance(padded, str) else [
+                    block[:length] for block, length in zip(padded, lengths)]
+                assert _outcome(rs_decode, surviving, k, m) == padded
+                assert _outcome(rs_decode, surviving, k, m, lengths) == \
+                    trimmed
+
+    def test_out_of_range_index_same_error(self):
+        for args in (({9: b"x"}, 3, 2, None), ({-1: b"x"}, 3, 2, [1])):
+            message = _outcome(ref_rs_decode, *args)
+            assert message.startswith("ValueError: piece index")
+            assert _outcome(rs_decode, *args) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=12),
+           e=st.integers(min_value=1, max_value=4),
+           rows=st.lists(st.binary(min_size=64, max_size=64), min_size=4,
+                         max_size=4))
+    def test_gaussian_solve_matches(self, k, e, rows):
+        matrix = cauchy_matrix(k, e)
+        erased = list(range(min(e, k)))
+        e = len(erased)
+        coeffs = [[matrix[i][j] for i in erased] for j in range(e)]
+        rhs = [bytes(row) for row in rows[:e]]
+        assert _gaussian_solve(coeffs, rhs, e, 64) == \
+            [bytes(row) for row in ref_gaussian_solve(coeffs, rhs, e, 64)]
